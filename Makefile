@@ -17,10 +17,15 @@ GO ?= go
 # here; the faults chaos suite keeps its full-fat race pass below.
 RACE_PKGS := ./internal/...
 
-# Fuzz targets hardened against panics; fuzz-smoke runs each briefly so a
-# codec regression that panics on malformed wire input fails the gate.
-FUZZ_PKG := ./internal/dnswire
-FUZZ_TARGETS := FuzzParseMessage FuzzParseName FuzzRData FuzzAppendTCP FuzzDoQFrame FuzzQUICVarint
+# Fuzz targets hardened against panics, as package:Target pairs; fuzz-smoke
+# runs each briefly so a codec regression that panics on malformed wire
+# input (or, for the DoH readers, buffers a body past the DNS message cap)
+# fails the gate.
+FUZZ_TARGETS := \
+	./internal/dnswire:FuzzParseMessage ./internal/dnswire:FuzzParseName \
+	./internal/dnswire:FuzzRData ./internal/dnswire:FuzzAppendTCP \
+	./internal/dnswire:FuzzDoQFrame ./internal/dnswire:FuzzQUICVarint \
+	./internal/doh:FuzzReadResponse ./internal/doh:FuzzH2ClientCodec
 FUZZTIME ?= 10s
 
 .PHONY: verify build vet lint test race bench bench-smoke fuzz-smoke trace-smoke
@@ -63,9 +68,10 @@ bench:
 	$(GO) run ./cmd/doebench -smoke
 
 fuzz-smoke:
-	@for target in $(FUZZ_TARGETS); do \
-		echo "fuzz $$target ($(FUZZTIME))"; \
-		$(GO) test $(FUZZ_PKG) -run='^$$' -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) || exit 1; \
+	@for pair in $(FUZZ_TARGETS); do \
+		pkg=$${pair%%:*}; target=$${pair##*:}; \
+		echo "fuzz $$pkg $$target ($(FUZZTIME))"; \
+		$(GO) test $$pkg -run='^$$' -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 
 # Telemetry end-to-end gate: run the miniature study with tracing on,

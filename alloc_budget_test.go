@@ -26,10 +26,10 @@ const (
 	allocBudgetDoQ = 24
 )
 
-// Multiplexed-session ceilings: an Exchange routed through the pipelining
-// engine (TCP/DoT) or the HTTP/2 stream layer (DoH) at MaxInFlight=8 may
-// cost at most 1.5× the serial budget — the demux slot, rendezvous channel
-// and per-stream frames must stay pooled.
+// Multiplexed-session ceilings: an Exchange routed through the in-flight
+// engine (RFC 7766 codec for TCP/DoT, HTTP/2 codec for DoH) at
+// MaxInFlight=8 may cost at most 1.5× the serial budget — the demux slot,
+// rendezvous channel and per-stream frames must stay pooled.
 const (
 	allocBudgetDoTMux = allocBudgetDoT * 3 / 2
 	allocBudgetDoHMux = allocBudgetDoH * 3 / 2

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/netip"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	world := netsim.NewWorld(2011) // the year OpenDNS deployed DNSCrypt
 	client := netip.MustParseAddr("10.0.0.1")
 	resolver := netip.MustParseAddr("208.67.222.222")
@@ -42,12 +44,12 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	if err := c.FetchCert(resolver); err != nil {
+	if err := c.FetchCertContext(ctx, resolver); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("certificate bootstrapped and Ed25519-verified in %v (wall)\n", time.Since(start).Round(time.Microsecond))
 
-	res, err := c.Query(resolver, "www.crypt.example.test", dnswire.TypeA)
+	res, err := c.QueryContext(ctx, resolver, "www.crypt.example.test", dnswire.TypeA)
 	if err != nil {
 		log.Fatal(err)
 	}

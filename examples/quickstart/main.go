@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/netip"
@@ -21,6 +22,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// 1. A world: one client in Germany, one resolver in the Netherlands.
 	world := netsim.NewWorld(42)
 	client := netip.MustParseAddr("10.0.0.1")
@@ -48,7 +50,7 @@ func main() {
 
 	// 4. Clear-text lookup over UDP.
 	stub := dnsclient.New(world, client)
-	res, err := stub.QueryUDP(resolver, "www.example.test", dnswire.TypeA)
+	res, err := stub.QueryUDPContext(ctx, resolver, "www.example.test", dnswire.TypeA)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,14 +60,14 @@ func main() {
 	// 5. DoT with the Strict profile: authenticated and encrypted.
 	roots := certs.Pool(ca)
 	dotClient := dot.NewClient(world, client, roots, dot.Strict)
-	conn, err := dotClient.Dial(resolver)
+	conn, err := dotClient.DialContext(ctx, resolver)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer conn.Close()
 	fmt.Printf("DoT      session setup (TCP+TLS): %v\n", conn.SetupLatency())
 	for i := 1; i <= 3; i++ {
-		r, err := conn.Query(fmt.Sprintf("q%d.example.test", i), dnswire.TypeA)
+		r, err := conn.QueryContext(ctx, fmt.Sprintf("q%d.example.test", i), dnswire.TypeA)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,13 +78,13 @@ func main() {
 	dohClient := doh.NewClient(world, client, roots)
 	dohClient.Override["dns.example.test"] = resolver
 	tmpl, _ := doh.ParseTemplate("https://dns.example.test/dns-query{?dns}")
-	one, err := dohClient.Query(tmpl, "doh.example.test", dnswire.TypeA)
+	one, err := dohClient.QueryContext(ctx, tmpl, "doh.example.test", dnswire.TypeA)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("DoH      one-shot query (incl. connection setup): %v\n", one.Latency)
 
-	dohConn, err := dohClient.Dial(tmpl, resolver)
+	dohConn, err := dohClient.DialContext(ctx, tmpl, resolver)
 	if err != nil {
 		log.Fatal(err)
 	}

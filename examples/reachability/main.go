@@ -7,9 +7,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/netip"
+	"strings"
 	"time"
 
 	"dnsencryption.info/doe/internal/analysis"
@@ -107,21 +109,31 @@ func main() {
 		DoHAddr: resolver,
 	}
 
-	results := platform.Campaign([]vantage.Target{target}, 4)
+	// One Fig. 7 pass per usable vantage, one table row per vantage.
+	ctx := context.Background()
 	table := &analysis.Table{
 		Title:   "Reachability per vantage point",
-		Columns: []string{"Node", "CC", "Proto", "Outcome", "Intercepted", "Error"},
+		Columns: []string{"Node", "CC", "DNS", "DoT", "DoH", "Intercepted"},
 	}
-	for _, r := range results {
-		errStr := r.Err
-		if len(errStr) > 40 {
-			errStr = errStr[:37] + "..."
+	var intercepted []vantage.Result
+	for _, node := range network.Nodes() {
+		if !platform.UsableNode(node) {
+			continue
 		}
-		table.AddRow(r.NodeID, r.Country, string(r.Proto), r.Outcome, r.Intercepted, errStr)
+		outcome := map[vantage.Proto]vantage.Outcome{}
+		var hit []string
+		for _, r := range platform.TestReachabilityContext(ctx, node, []vantage.Target{target}) {
+			outcome[r.Proto] = r.Outcome
+			if r.Intercepted {
+				hit = append(hit, string(r.Proto))
+				intercepted = append(intercepted, r)
+			}
+		}
+		table.AddRow(node.ID, node.Country, outcome[vantage.ProtoDNS], outcome[vantage.ProtoDoT], outcome[vantage.ProtoDoH], strings.Join(hit, ","))
 	}
 	fmt.Println(table.Render())
 
-	for _, r := range vantage.InterceptedResults(results) {
+	for _, r := range intercepted {
 		fmt.Printf("TLS interception: node %s (%s) — resolver cert re-signed by %q, lookup still answered\n",
 			r.NodeID, r.Country, r.IssuerCN)
 	}

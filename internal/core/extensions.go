@@ -143,7 +143,7 @@ func runLocalDoT(s *Study) (string, error) {
 		if err != nil {
 			return localProbe{}
 		}
-		sess := resolver.DoTSession(conn)
+		sess := resolver.NewSession(conn)
 		q := dnswire.NewQuery(0, s.GlobalPlatform.UniqueName(node.ID+"-local"), dnswire.TypeA)
 		m, err := sess.Exchange(s.obsCtx(), q)
 		sess.Close()

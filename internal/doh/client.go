@@ -49,7 +49,15 @@ var (
 	ErrHTTPStatus = errors.New("doh: non-200 HTTP status")
 
 	errMalformedResponse = errors.New("doh: malformed HTTP response")
+	// errBodyTooLarge rejects a response body longer than any DNS message
+	// before it is buffered; a serial session that sees it is dead, since
+	// the unread rest of the body desyncs the keep-alive stream.
+	errBodyTooLarge = fmt.Errorf("%w: body exceeds %d bytes", errMalformedResponse, maxBodyLen)
 )
+
+// maxBodyLen caps a response body at the largest DNS message (RFC 8484
+// §6: the body is one wire-format message, at most 65535 bytes).
+const maxBodyLen = dnswire.MaxTCPMessage
 
 // Template is a parsed DoH URI template, e.g.
 // "https://dns.example.com/dns-query{?dns}".
@@ -123,14 +131,6 @@ func NewClient(w *netsim.World, from netip.Addr, roots *x509.CertPool) *Client {
 	}
 }
 
-// Resolve maps a template hostname to an address using the override table
-// or the bootstrap resolver.
-//
-// Deprecated: use ResolveContext; this delegates with context.Background().
-func (c *Client) Resolve(host string) (netip.Addr, error) {
-	return c.ResolveContext(context.Background(), host)
-}
-
 // ResolveContext maps a template hostname to an address using the override
 // table or the bootstrap resolver, honouring ctx on the bootstrap lookup.
 func (c *Client) ResolveContext(ctx context.Context, host string) (netip.Addr, error) {
@@ -161,7 +161,7 @@ func (c *Client) ResolveContext(ctx context.Context, host string) (netip.Addr, e
 // safe for concurrent use.
 type Conn struct {
 	mu       sync.Mutex
-	h2       *h2session // non-nil when the session negotiated HTTP/2
+	h2       *dnsclient.Mux[uint32, h2Stream] // non-nil when the session negotiated HTTP/2
 	raw      *netsim.Conn
 	tls      *tls.Conn
 	br       *bufio.Reader
@@ -169,6 +169,7 @@ type Conn struct {
 	template Template
 	setup    time.Duration
 	closed   bool
+	dead     error // set when a response desynced the serial stream
 	// pbuf/wbuf/rbuf are the session's pooled scratch buffers — packed DNS
 	// message, rendered HTTP request, and response body — guarded by mu
 	// like the connection itself and returned on Close.
@@ -269,7 +270,7 @@ func (conn *Conn) QueryContext(ctx context.Context, name string, qtype dnswire.T
 	conn.mu.Lock()
 	if h := conn.h2; h != nil {
 		conn.mu.Unlock()
-		return h.exchange(ctx, name, qtype)
+		return h.Exchange(ctx, name, qtype)
 	}
 	defer conn.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -277,6 +278,9 @@ func (conn *Conn) QueryContext(ctx context.Context, name string, qtype dnswire.T
 	}
 	if conn.closed {
 		return nil, dnsclient.ErrClosed
+	}
+	if conn.dead != nil {
+		return nil, fmt.Errorf("%w: %w", dnsclient.ErrClosed, conn.dead)
 	}
 	// RFC 8484 recommends ID 0 for cache friendliness.
 	q := dnswire.NewQuery(0, name, qtype)
@@ -294,6 +298,9 @@ func (conn *Conn) QueryContext(ctx context.Context, name string, qtype dnswire.T
 	}
 	status, body, err := conn.readResponse()
 	if err != nil {
+		if errors.Is(err, errBodyTooLarge) {
+			conn.dead = err
+		}
 		return nil, err
 	}
 	if status != http.StatusOK {
@@ -358,7 +365,9 @@ func (conn *Conn) readLine() ([]byte, error) {
 // body framings net/http servers emit: Content-Length, chunked, and
 // close-delimited. Like the http.ReadResponse path it replaces, the body is
 // always drained — even for non-200 statuses — so the keep-alive stream
-// stays in sync. The returned body aliases the session's read scratch.
+// stays in sync. Bodies longer than maxBodyLen are rejected with
+// errBodyTooLarge before they are buffered. The returned body aliases the
+// session's read scratch.
 func (conn *Conn) readResponse() (int, []byte, error) {
 	line, err := conn.readLine()
 	if err != nil {
@@ -406,6 +415,9 @@ func (conn *Conn) readResponse() (int, []byte, error) {
 			if err != nil {
 				return 0, nil, errMalformedResponse
 			}
+			if uint64(len(body))+n > maxBodyLen {
+				return 0, nil, errBodyTooLarge
+			}
 			if n == 0 {
 				// Zero chunk then the terminating empty line (trailers
 				// are not emitted by the servers this client speaks to).
@@ -424,6 +436,8 @@ func (conn *Conn) readResponse() (int, []byte, error) {
 				return 0, nil, err
 			}
 		}
+	case contentLen > maxBodyLen:
+		return 0, nil, errBodyTooLarge
 	case contentLen >= 0:
 		body = bufpool.Grow(body, contentLen)
 		if _, err := io.ReadFull(conn.br, body); err != nil {
@@ -436,6 +450,9 @@ func (conn *Conn) readResponse() (int, []byte, error) {
 			body = bufpool.Grow(body, 512)
 			n, err := conn.br.Read(body[off:])
 			body = body[:off+n]
+			if len(body) > maxBodyLen {
+				return 0, nil, errBodyTooLarge
+			}
 			if err == io.EOF {
 				break
 			}
@@ -492,25 +509,15 @@ func trimSpace(b []byte) []byte {
 	return b
 }
 
-// BatchContext issues len(names) queries as one coalesced HTTP/2 burst on a
-// multiplexed session and returns the results in query order; see
-// dnsclient.Mux.Batch for the burst semantics. It fails on serial sessions.
-func (conn *Conn) BatchContext(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
-	conn.mu.Lock()
-	h := conn.h2
-	conn.mu.Unlock()
-	if h == nil {
-		return nil, fmt.Errorf("doh: batch requires a multiplexed (HTTP/2) session")
-	}
-	return h.batch(ctx, names, qtype, out)
-}
-
 // QueryJSON performs one Google-style JSON API lookup on the session.
 func (conn *Conn) QueryJSON(name string, qtype dnswire.Type) (*JSONResponse, error) {
 	conn.mu.Lock()
 	defer conn.mu.Unlock()
 	if conn.closed {
 		return nil, dnsclient.ErrClosed
+	}
+	if conn.dead != nil {
+		return nil, fmt.Errorf("%w: %w", dnsclient.ErrClosed, conn.dead)
 	}
 	if conn.h2 != nil {
 		return nil, fmt.Errorf("doh: JSON API not supported on a multiplexed session")
@@ -552,7 +559,9 @@ func (conn *Conn) Close() error {
 	}
 	conn.closed = true
 	if conn.h2 != nil {
-		conn.h2.close()
+		// Closing the engine first guarantees no writer still holds the
+		// pbuf/wbuf scratch its codec borrows.
+		conn.h2.Close()
 	}
 	bufpool.Put(conn.pbuf)
 	bufpool.Put(conn.wbuf)

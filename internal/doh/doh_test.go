@@ -1,6 +1,7 @@
 package doh
 
 import (
+	"context"
 	"crypto/x509"
 	"errors"
 	"net/netip"
@@ -213,7 +214,7 @@ func TestBootstrapResolution(t *testing.T) {
 func TestResolveFailsWithoutPath(t *testing.T) {
 	f := newFixture(t)
 	c := NewClient(f.world, clientIP, certs.Pool(f.ca))
-	if _, err := c.Resolve("unknown.example"); err == nil {
+	if _, err := c.ResolveContext(context.Background(), "unknown.example"); err == nil {
 		t.Error("Resolve succeeded with no override and no bootstrap")
 	}
 }

@@ -14,22 +14,21 @@ package doh
 //   - flow control is not enforced: DNS messages are far below the initial
 //     window and both ends ignore WINDOW_UPDATE.
 //
-// The client mirrors dnsclient.Mux: a write lock serializes stream-ID
-// allocation, frame building, the per-query clock charge, and the Write; a
-// demux reader goroutine reassembles each stream (HEADERS then DATA) and
-// parks the response in the query's rendezvous slot.
+// The client side is h2Codec, the HTTP/2 codec of the dnsclient.Mux
+// in-flight engine that also runs RFC 7766 pipelining for TCP and DoT: the
+// engine owns the in-flight limit, the stream→slot table, cancellation and
+// fail-all; the codec allocates odd stream IDs, builds each query's HEADERS
+// (and POST DATA) frames, and reassembles responses from HEADERS and DATA
+// frames, honouring RST_STREAM and GOAWAY.
 
 import (
 	"bufio"
-	"context"
 	"encoding/base64"
 	"fmt"
 	"io"
 	"net/http"
 	"net/netip"
 	"strings"
-	"sync"
-	"time"
 
 	"dnsencryption.info/doe/internal/bufpool"
 	"dnsencryption.info/doe/internal/dnsclient"
@@ -37,48 +36,27 @@ import (
 	"dnsencryption.info/doe/internal/netsim"
 )
 
-// h2session is the client half of the multiplexed DoH path.
-type h2session struct {
-	limit    int
-	sem      chan struct{}
-	clock    *netsim.Conn
-	cost     time.Duration
-	method   Method
-	template Template
-
-	// Write side, serialized by wmu: stream-ID allocation, HPACK/frame
-	// building, the per-query clock charge, and the TLS write.
-	wmu  sync.Mutex
-	tls  io.Writer
-	next uint32 // next client stream ID; odd (RFC 7540 §5.1.1)
-	wbuf *[]byte
-	pbuf *[]byte // packed DNS query scratch
-	qbuf *[]byte // GET :path scratch (path?dns=base64url)
-
-	// Demux state, guarded by mu; slots recycle through a free list.
-	mu       sync.Mutex
-	br       *bufio.Reader
-	inflight map[uint32]*h2Pending
-	free     *h2Pending
-	dead     error
-	closed   bool
-	started  bool
-}
-
-// h2Pending is one stream's rendezvous slot; status and body accumulate
-// across the stream's HEADERS and DATA frames until END_STREAM delivers.
-type h2Pending struct {
-	ch     chan h2Delivery // buffered, capacity 1: the reader never blocks
-	start  time.Duration
+// h2Stream is one stream's reassembly state, carried in its engine slot:
+// status and body accumulate across the stream's HEADERS and DATA frames.
+type h2Stream struct {
 	status int
 	body   []byte
-	next   *h2Pending
 }
 
-type h2Delivery struct {
-	msg *dnswire.Message
-	lat time.Duration
-	err error
+// h2Codec is the HTTP/2 codec of a multiplexed DoH session.
+type h2Codec struct {
+	method   Method
+	template Template
+	// Write side, used under the engine's write lock: the next client
+	// stream ID (odd, RFC 7540 §5.1.1) and the owning Conn's packed-query
+	// and GET :path scratch.
+	next       uint32
+	pbuf, qbuf *[]byte
+	// Read side, used only by the engine's reader: the frame Read last
+	// returned.
+	br      *bufio.Reader
+	f       dnswire.H2Frame
+	payload []byte
 }
 
 // startH2 upgrades a freshly handshaken session to HTTP/2: verify the ALPN
@@ -103,401 +81,130 @@ func (conn *Conn) startH2() error {
 	if f.Type != dnswire.H2FrameSettings || f.StreamID != 0 {
 		return fmt.Errorf("doh: h2 setup: expected SETTINGS, got %v", f.Type)
 	}
-	limit := conn.client.MaxInFlight
-	if limit <= 0 {
-		limit = dnsclient.DefaultMaxInFlight
-	}
-	conn.h2 = &h2session{
-		limit:    limit,
-		sem:      make(chan struct{}, limit),
-		clock:    conn.raw,
-		cost:     conn.client.CryptoCost,
+	codec := &h2Codec{
 		method:   conn.client.Method,
 		template: conn.template,
-		tls:      conn.tls,
 		next:     1,
-		wbuf:     bufpool.Get(2048), //doelint:transfer -- owned by h2session; released in close
-		pbuf:     bufpool.Get(512),  //doelint:transfer -- owned by h2session; released in close
-		qbuf:     bufpool.Get(512),  //doelint:transfer -- owned by h2session; released in close
+		pbuf:     conn.pbuf,
+		qbuf:     conn.wbuf,
 		br:       conn.br,
-		inflight: make(map[uint32]*h2Pending, limit),
 	}
+	conn.h2 = dnsclient.NewMux[uint32, h2Stream](codec, conn.tls, conn.raw, conn.client.MaxInFlight, conn.client.CryptoCost)
 	return nil
 }
 
-// MaxInFlight reports the session's in-flight stream limit, or 0 for a
-// serial (HTTP/1.1) session.
-func (conn *Conn) MaxInFlight() int {
-	if conn.h2 == nil {
-		return 0
-	}
-	return conn.h2.limit
+// Mux returns the in-flight engine of a session that negotiated HTTP/2 —
+// the handle for coalesced Batch bursts and the session's MaxInFlight — or
+// nil for a serial (HTTP/1.1) session.
+func (conn *Conn) Mux() *dnsclient.Mux[uint32, h2Stream] { return conn.h2 }
+
+// Open allocates the next stream ID. Stream IDs increase monotonically
+// (RFC 7540 §5.1.1) so, unlike DNS transaction IDs, they cannot collide.
+func (c *h2Codec) Open(st *h2Stream, _ func(uint32) bool) (uint32, error) {
+	sid := c.next
+	c.next += 2
+	st.status = 0
+	st.body = st.body[:0]
+	return sid, nil
 }
 
-// Multiplexed reports whether the session negotiated HTTP/2.
-func (conn *Conn) Multiplexed() bool { return conn.h2 != nil }
-
-func (h *h2session) acquire(ctx context.Context) error {
-	select {
-	case h.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("doh: h2 query: %w", ctx.Err())
-	}
-}
-
-func (h *h2session) release() { <-h.sem }
-
-func (h *h2session) getSlotLocked() *h2Pending {
-	if p := h.free; p != nil {
-		h.free = p.next
-		p.next = nil
-		return p
-	}
-	return &h2Pending{ch: make(chan h2Delivery, 1)} //doelint:allow hotalloc -- slots are recycled through the free list; steady state allocates none
-}
-
-func (h *h2session) putSlot(p *h2Pending) {
-	h.mu.Lock()
-	p.next = h.free
-	h.free = p
-	h.mu.Unlock()
-}
-
-// register allocates the next stream ID and an in-flight slot stamped with
-// start; callers hold h.wmu. Stream IDs increase monotonically (RFC 7540
-// §5.1.1) so, unlike DNS transaction IDs, they cannot collide.
-func (h *h2session) register(start time.Duration) (*h2Pending, uint32, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return nil, 0, dnsclient.ErrClosed
-	}
-	if h.dead != nil {
-		return nil, 0, h.dead
-	}
-	sid := h.next
-	h.next += 2
-	p := h.getSlotLocked()
-	p.start = start
-	p.status = 0
-	p.body = p.body[:0]
-	h.inflight[sid] = p
-	if !h.started {
-		h.started = true
-		go h.readLoop()
-	}
-	return p, sid, nil
-}
-
-// deregister removes sid from the in-flight table; false means the reader
-// already delivered (the delivery is buffered in the slot's channel).
-func (h *h2session) deregister(sid uint32) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, mine := h.inflight[sid]; !mine {
-		return false
-	}
-	delete(h.inflight, sid)
-	return true
-}
-
-// appendStreamLocked builds one query's frames — HEADERS carrying the RFC
-// 8484 binding, plus a DATA frame for POST — onto wb and registers the
-// stream. Callers hold h.wmu.
+// Append builds one query's frames — HEADERS carrying the RFC 8484
+// binding, plus a DATA frame for POST.
 //
 //doelint:hotpath
-func (h *h2session) appendStreamLocked(wb []byte, start time.Duration, name string, qtype dnswire.Type) ([]byte, *h2Pending, uint32, error) {
-	p, sid, err := h.register(start)
-	if err != nil {
-		return wb, nil, 0, err
-	}
+func (c *h2Codec) Append(wb []byte, sid uint32, name string, qtype dnswire.Type) ([]byte, error) {
 	// RFC 8484 recommends ID 0 for cache friendliness.
 	q := dnswire.NewQuery(0, name, qtype)
-	packed, err := q.AppendPack((*h.pbuf)[:0])
-	*h.pbuf = packed
+	packed, err := q.AppendPack((*c.pbuf)[:0])
+	*c.pbuf = packed
 	if err != nil {
-		h.deregister(sid)
-		h.putSlot(p)
-		return wb, nil, 0, err
+		return wb, err
 	}
 	hstart := len(wb)
 	wb = dnswire.ReserveH2FrameHeader(wb)
-	if h.method == POST {
+	if c.method == POST {
 		wb = dnswire.AppendHpackLiteral(wb, ":method", "POST")
 		wb = dnswire.AppendHpackLiteral(wb, ":scheme", "https")
-		wb = dnswire.AppendHpackLiteral(wb, ":authority", h.template.Host)
-		wb = dnswire.AppendHpackLiteral(wb, ":path", h.template.Path)
+		wb = dnswire.AppendHpackLiteral(wb, ":authority", c.template.Host)
+		wb = dnswire.AppendHpackLiteral(wb, ":path", c.template.Path)
 		wb = dnswire.AppendHpackLiteral(wb, "content-type", ContentType)
 		wb = dnswire.AppendHpackLiteral(wb, "accept", ContentType)
 		wb, err = dnswire.FinishH2Frame(wb, hstart, dnswire.H2FrameHeaders, dnswire.H2FlagEndHeaders, sid)
-		if err == nil {
-			wb, err = dnswire.AppendH2Frame(wb, dnswire.H2FrameData, dnswire.H2FlagEndStream, sid, packed)
-		}
-	} else {
-		wb = dnswire.AppendHpackLiteral(wb, ":method", "GET")
-		wb = dnswire.AppendHpackLiteral(wb, ":scheme", "https")
-		wb = dnswire.AppendHpackLiteral(wb, ":authority", h.template.Host)
-		pb := (*h.qbuf)[:0]
-		pb = append(pb, h.template.Path...)
-		pb = append(pb, "?dns="...)
-		n := base64.RawURLEncoding.EncodedLen(len(packed))
-		off := len(pb)
-		pb = bufpool.Grow(pb, n)
-		base64.RawURLEncoding.Encode(pb[off:], packed)
-		*h.qbuf = pb
-		wb = dnswire.AppendHpackLiteralBytes(wb, ":path", pb)
-		wb = dnswire.AppendHpackLiteral(wb, "accept", ContentType)
-		wb, err = dnswire.FinishH2Frame(wb, hstart, dnswire.H2FrameHeaders, dnswire.H2FlagEndStream|dnswire.H2FlagEndHeaders, sid)
-	}
-	if err != nil {
-		h.deregister(sid)
-		h.putSlot(p)
-		return wb, nil, 0, err
-	}
-	return wb, p, sid, nil
-}
-
-// send writes one query's frames under the write lock.
-//
-//doelint:hotpath
-func (h *h2session) send(name string, qtype dnswire.Type) (*h2Pending, uint32, error) {
-	h.wmu.Lock()
-	defer h.wmu.Unlock()
-	wb, p, sid, err := h.appendStreamLocked((*h.wbuf)[:0], h.clock.Elapsed(), name, qtype)
-	*h.wbuf = wb
-	if err != nil {
-		return nil, 0, err
-	}
-	h.clock.AddLatency(h.cost)
-	if _, err := h.tls.Write(wb); err != nil {
-		h.deregister(sid)
-		h.fail(err)
-		return nil, 0, err
-	}
-	return p, sid, nil
-}
-
-// wait blocks for the stream's delivery, honouring ctx; it releases the
-// caller's semaphore slot and recycles the rendezvous slot.
-//
-//doelint:hotpath
-func (h *h2session) wait(ctx context.Context, p *h2Pending, sid uint32) (*dnsclient.Result, error) {
-	var d h2Delivery
-	select {
-	case d = <-p.ch:
-	case <-ctx.Done():
-		if h.deregister(sid) {
-			h.putSlot(p)
-			h.release()
-			return nil, fmt.Errorf("doh: h2 query: %w", ctx.Err())
-		}
-		d = <-p.ch
-	}
-	h.putSlot(p)
-	h.release()
-	if d.err != nil {
-		return nil, d.err
-	}
-	return &dnsclient.Result{Msg: d.msg, Latency: d.lat}, nil
-}
-
-// exchange is one concurrent-safe DoH transaction on the h2 session.
-//
-//doelint:hotpath
-func (h *h2session) exchange(ctx context.Context, name string, qtype dnswire.Type) (*dnsclient.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("doh: h2 query: %w", err)
-	}
-	if err := h.acquire(ctx); err != nil {
-		return nil, err
-	}
-	p, sid, err := h.send(name, qtype)
-	if err != nil {
-		h.release()
-		return nil, err
-	}
-	return h.wait(ctx, p, sid)
-}
-
-// batch issues len(names) streams as one coalesced burst — all frames leave
-// in a single TLS write — and collects the responses in query order. See
-// dnsclient.Mux.Batch for why single-write bursts are the deterministic face
-// of multiplexing.
-func (h *h2session) batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("doh: h2 batch: %w", err)
-	}
-	if len(names) > h.limit {
-		return nil, fmt.Errorf("doh: batch of %d exceeds in-flight limit %d", len(names), h.limit)
-	}
-	for i := range names {
-		if err := h.acquire(ctx); err != nil {
-			for ; i > 0; i-- {
-				h.release()
-			}
-			return nil, err
-		}
-	}
-	slots := make([]*h2Pending, len(names))
-	sids := make([]uint32, len(names))
-	h.wmu.Lock()
-	wb := (*h.wbuf)[:0]
-	// All slots are stamped at batch start — see dnsclient.Mux.Batch: the
-	// burst shares one request segment and one coalesced response segment,
-	// so each stream's latency is the whole batch round trip.
-	start := h.clock.Elapsed()
-	var err error
-	for i, name := range names {
-		var p *h2Pending
-		var sid uint32
-		wb, p, sid, err = h.appendStreamLocked(wb, start, name, qtype)
 		if err != nil {
-			break
+			return wb, err
 		}
-		slots[i], sids[i] = p, sid
-		h.clock.AddLatency(h.cost)
+		return dnswire.AppendH2Frame(wb, dnswire.H2FrameData, dnswire.H2FlagEndStream, sid, packed)
 	}
-	if err == nil {
-		if _, werr := h.tls.Write(wb); werr != nil {
-			h.fail(werr)
-			err = werr
-		}
-	}
-	*h.wbuf = wb
-	h.wmu.Unlock()
-	if err != nil {
-		for i := range names {
-			if slots[i] != nil && h.deregister(sids[i]) {
-				h.putSlot(slots[i])
-			}
-			h.release()
-		}
-		return nil, err
-	}
-	out = out[:0]
-	var firstErr error
-	for i := range names {
-		res, err := h.wait(ctx, slots[i], sids[i])
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			out = append(out, dnsclient.Result{})
-			continue
-		}
-		out = append(out, *res)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	wb = dnswire.AppendHpackLiteral(wb, ":method", "GET")
+	wb = dnswire.AppendHpackLiteral(wb, ":scheme", "https")
+	wb = dnswire.AppendHpackLiteral(wb, ":authority", c.template.Host)
+	pb := (*c.qbuf)[:0]
+	pb = append(pb, c.template.Path...)
+	pb = append(pb, "?dns="...)
+	n := base64.RawURLEncoding.EncodedLen(len(packed))
+	off := len(pb)
+	pb = bufpool.Grow(pb, n)
+	base64.RawURLEncoding.Encode(pb[off:], packed)
+	*c.qbuf = pb
+	wb = dnswire.AppendHpackLiteralBytes(wb, ":path", pb)
+	wb = dnswire.AppendHpackLiteral(wb, "accept", ContentType)
+	return dnswire.FinishH2Frame(wb, hstart, dnswire.H2FrameHeaders, dnswire.H2FlagEndStream|dnswire.H2FlagEndHeaders, sid)
 }
 
-// readLoop is the session's demux reader: it owns the TLS read side,
-// reassembles streams frame by frame, and delivers each response — with its
-// per-stream virtual latency — to the matching rendezvous slot.
+// Read reads the next frame. HEADERS, DATA and RST_STREAM belong to a
+// stream; GOAWAY is fatal; SETTINGS, PING and WINDOW_UPDATE carry no
+// response data and — per the package's no-ACK, no-flow-control subset —
+// need no reply.
 //
 //doelint:hotpath
-func (h *h2session) readLoop() {
-	scratch := bufpool.Get(512)
-	defer bufpool.Put(scratch)
-	for {
-		f, payload, err := dnswire.ReadH2FrameAppend(h.br, (*scratch)[:0])
-		if err != nil {
-			h.fail(err)
-			return
-		}
-		*scratch = payload[:0]
-		switch f.Type {
-		case dnswire.H2FrameHeaders:
-			h.mu.Lock()
-			if p := h.inflight[f.StreamID]; p != nil {
-				p.status = parseH2Status(payload)
-				p.body = p.body[:0]
-				if f.EndStream() {
-					h.deliverLocked(f.StreamID, p)
-				}
-			}
-			h.mu.Unlock()
-		case dnswire.H2FrameData:
-			h.mu.Lock()
-			if p := h.inflight[f.StreamID]; p != nil {
-				p.body = append(p.body, payload...)
-				if f.EndStream() {
-					h.deliverLocked(f.StreamID, p)
-				}
-			}
-			h.mu.Unlock()
-		case dnswire.H2FrameRSTStream:
-			h.mu.Lock()
-			if p := h.inflight[f.StreamID]; p != nil {
-				delete(h.inflight, f.StreamID)
-				p.ch <- h2Delivery{err: fmt.Errorf("doh: stream %d reset by server", f.StreamID)}
-			}
-			h.mu.Unlock()
-		case dnswire.H2FrameGoAway:
-			h.fail(fmt.Errorf("doh: server sent GOAWAY"))
-			return
-		default:
-			// SETTINGS, PING and WINDOW_UPDATE carry no response data and —
-			// per the package's no-ACK, no-flow-control subset — need no
-			// reply.
-		}
-	}
-}
-
-// deliverLocked completes a stream; callers hold h.mu.
-func (h *h2session) deliverLocked(sid uint32, p *h2Pending) {
-	delete(h.inflight, sid)
-	if p.status != http.StatusOK {
-		p.ch <- h2Delivery{err: fmt.Errorf("%w: %d", ErrHTTPStatus, p.status)}
-		return
-	}
-	m, err := dnswire.Unpack(p.body)
+func (c *h2Codec) Read(scratch *[]byte) (uint32, bool, error) {
+	f, payload, err := dnswire.ReadH2FrameAppend(c.br, (*scratch)[:0])
 	if err != nil {
-		p.ch <- h2Delivery{err: err}
-		return
+		return 0, false, err
 	}
-	p.ch <- h2Delivery{msg: m, lat: h.clock.Elapsed() - p.start}
+	*scratch = payload[:0]
+	c.f, c.payload = f, payload
+	switch f.Type {
+	case dnswire.H2FrameHeaders, dnswire.H2FrameData, dnswire.H2FrameRSTStream:
+		return f.StreamID, true, nil
+	case dnswire.H2FrameGoAway:
+		return 0, false, fmt.Errorf("doh: server sent GOAWAY")
+	default:
+		return 0, false, nil
+	}
 }
 
-// fail marks the session dead and delivers err to every in-flight stream.
-func (h *h2session) fail(err error) {
-	h.mu.Lock()
-	if h.dead == nil {
-		h.dead = err
-	} else {
-		err = h.dead
+// Apply folds the last frame into its stream. A stream completes at
+// END_STREAM (or RST_STREAM); a body past maxBodyLen fails the stream
+// without growing further — later frames of the abandoned stream are
+// dropped by the engine, and the framing of the others stays intact.
+//
+//doelint:hotpath
+func (c *h2Codec) Apply(st *h2Stream) (*dnswire.Message, bool, error) {
+	switch c.f.Type {
+	case dnswire.H2FrameRSTStream:
+		return nil, true, fmt.Errorf("doh: stream %d reset by server", c.f.StreamID)
+	case dnswire.H2FrameHeaders:
+		st.status = parseH2Status(c.payload)
+		st.body = st.body[:0]
+	default:
+		if len(st.body)+len(c.payload) > maxBodyLen {
+			return nil, true, errBodyTooLarge
+		}
+		st.body = append(st.body, c.payload...)
 	}
-	for sid, p := range h.inflight {
-		delete(h.inflight, sid)
-		p.ch <- h2Delivery{err: err}
+	if !c.f.EndStream() {
+		return nil, false, nil
 	}
-	h.mu.Unlock()
-}
-
-// close fails all in-flight streams with ErrClosed and releases the write
-// buffers; the owning Conn closes the TLS connection, unblocking the reader.
-func (h *h2session) close() {
-	h.wmu.Lock()
-	defer h.wmu.Unlock()
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
+	if st.status != http.StatusOK {
+		return nil, true, fmt.Errorf("%w: %d", ErrHTTPStatus, st.status)
 	}
-	h.closed = true
-	h.mu.Unlock()
-	h.fail(dnsclient.ErrClosed)
-	bufpool.Put(h.wbuf)
-	bufpool.Put(h.pbuf)
-	bufpool.Put(h.qbuf)
-	h.wbuf, h.pbuf, h.qbuf = nil, nil, nil
+	m, err := dnswire.Unpack(st.body)
+	return m, true, err
 }
 
 // parseH2Status extracts :status from a response header block; 0 on parse
-// failure (which deliverLocked then rejects as a non-200).
+// failure (which Apply then rejects as a non-200).
 func parseH2Status(block []byte) int {
 	for len(block) > 0 {
 		name, value, rest, err := dnswire.ReadHpackLiteral(block)

@@ -27,11 +27,11 @@ func TestH2Negotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if !conn.Multiplexed() {
+	if conn.Mux() == nil {
 		t.Fatal("Mux client did not negotiate h2")
 	}
-	if conn.MaxInFlight() != dnsclient.DefaultMaxInFlight {
-		t.Errorf("MaxInFlight = %d, want default %d", conn.MaxInFlight(), dnsclient.DefaultMaxInFlight)
+	if conn.Mux().MaxInFlight() != dnsclient.DefaultMaxInFlight {
+		t.Errorf("MaxInFlight = %d, want default %d", conn.Mux().MaxInFlight(), dnsclient.DefaultMaxInFlight)
 	}
 	res, err := conn.Query("probe-h2.measure.example.org", dnswire.TypeA)
 	if err != nil {
@@ -75,7 +75,7 @@ func TestH2SerialClientUnaffected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if conn.Multiplexed() {
+	if conn.Mux() != nil {
 		t.Fatal("serial client negotiated h2")
 	}
 	if _, err := conn.Query("serial.measure.example.org", dnswire.TypeA); err != nil {
@@ -102,7 +102,7 @@ func TestH2BatchDeterministicLatencies(t *testing.T) {
 	}
 	run := func() ([]dnsclient.Result, time.Duration) {
 		before := conn.Elapsed()
-		results, err := conn.BatchContext(context.Background(), names, dnswire.TypeA, nil)
+		results, err := conn.Mux().Batch(context.Background(), names, dnswire.TypeA, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -154,7 +154,7 @@ func NewClient(w *netsim.World, from netip.Addr, roots *x509.CertPool, profile P
 // Conn is a reusable DoT session.
 type Conn struct {
 	mu     sync.Mutex
-	mux    *dnsclient.Mux
+	mux    *dnsclient.StreamMux
 	raw    *netsim.Conn
 	tls    *tls.Conn
 	client *Client
@@ -290,20 +290,19 @@ func (conn *Conn) Elapsed() time.Duration { return conn.raw.Elapsed() }
 
 // Pipeline upgrades the session to an RFC 7766 pipelined session with the
 // given in-flight limit (limit <= 0 selects dnsclient.DefaultMaxInFlight)
-// and returns its Mux. After Pipeline, QueryContext routes through the mux
-// and is safe for concurrent use; the mux carries the session's per-query
-// CryptoCost and RFC 8467 padding policy. Pipeline is idempotent — later
-// calls return the existing mux regardless of limit.
-func (conn *Conn) Pipeline(limit int) *dnsclient.Mux {
+// and returns its engine. After Pipeline, QueryContext routes through the
+// engine and is safe for concurrent use; the engine carries the session's
+// per-query CryptoCost and RFC 8467 padding policy. Pipeline is idempotent
+// — later calls return the existing engine regardless of limit.
+func (conn *Conn) Pipeline(limit int) *dnsclient.StreamMux {
 	conn.mu.Lock()
 	defer conn.mu.Unlock()
 	if conn.mux == nil && !conn.closed {
-		m := dnsclient.NewMux(conn.tls, conn.raw, limit)
-		m.PerQueryCost = conn.client.CryptoCost
+		pad := 0
 		if conn.client.Pad {
-			m.PadBlock = 128
+			pad = 128
 		}
-		conn.mux = m
+		conn.mux = dnsclient.NewStreamMux(conn.tls, conn.raw, limit, conn.client.CryptoCost, pad)
 	}
 	return conn.mux
 }

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // analyzerCtxplumb enforces the context-propagation contract from PR 2:
@@ -15,10 +14,9 @@ import (
 //  1. context.Background()/context.TODO() are banned outside package main.
 //     A context tree has exactly one legitimate root per process; a
 //     Background() inside a library function silently detaches everything
-//     below it from the caller's deadline. Exemptions: deprecated
-//     compatibility shims (doc comment carries "Deprecated:"), the
+//     below it from the caller's deadline. Exemptions: the
 //     convenience-wrapper idiom (a function F whose body calls FContext —
-//     the documented non-context twin pattern), and functions annotated
+//     the documented non-context twin pattern) and functions annotated
 //     //doelint:ctxroot -- <why>.
 //
 //  2. A context.Context parameter must come first, matching the standard
@@ -81,20 +79,9 @@ func checkCtxSignature(pass *Pass, ft *ast.FuncType) {
 }
 
 // ctxRootExempt reports whether a function may legitimately mint a root
-// context: deprecated shims, annotated roots, and the F -> FContext
-// convenience-wrapper idiom.
+// context: annotated roots and the F -> FContext convenience-wrapper idiom.
 func ctxRootExempt(fn *ast.FuncDecl) bool {
-	if hasFuncDirective(fn, "ctxroot") {
-		return true
-	}
-	if fn.Doc != nil {
-		for _, c := range fn.Doc.List {
-			if strings.Contains(c.Text, "Deprecated:") {
-				return true
-			}
-		}
-	}
-	return callsContextTwin(fn)
+	return hasFuncDirective(fn, "ctxroot") || callsContextTwin(fn)
 }
 
 // callsContextTwin detects the convenience-wrapper idiom: F's body calls

@@ -9,9 +9,6 @@ import (
 	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnscrypt"
 	"dnsencryption.info/doe/internal/dnswire"
-	"dnsencryption.info/doe/internal/doh"
-	"dnsencryption.info/doe/internal/doq"
-	"dnsencryption.info/doe/internal/dot"
 )
 
 // udpExchanger is the connectionless clear-text transport.
@@ -32,94 +29,34 @@ func (u udpExchanger) Exchange(ctx context.Context, msg *dnswire.Message) (*dnsw
 	return res.Msg, nil
 }
 
-// TCPSession adapts an established DNS-over-TCP connection (possibly riding
-// a SOCKS tunnel via dnsclient.TCPFromConn) to the unified API.
-func TCPSession(conn *dnsclient.TCPConn) Session { return tcpSession{conn} }
-
-type tcpSession struct{ conn *dnsclient.TCPConn }
-
-func (s tcpSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
-	name, qtype, err := Question(msg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.conn.QueryContext(ctx, name, qtype)
-	if err != nil {
-		return nil, err
-	}
-	return res.Msg, nil
+// StreamConn is the method set every stream transport's connection shares
+// — dnsclient.TCPConn (possibly riding a SOCKS tunnel via
+// dnsclient.TCPFromConn), dot.Conn, doh.Conn and doq.Conn.
+type StreamConn interface {
+	QueryContext(ctx context.Context, name string, qtype dnswire.Type) (*dnsclient.Result, error)
+	Close() error
+	SetupLatency() time.Duration
+	Elapsed() time.Duration
 }
 
-func (s tcpSession) Close() error                { return s.conn.Close() }
-func (s tcpSession) SetupLatency() time.Duration { return s.conn.SetupLatency() }
-func (s tcpSession) Elapsed() time.Duration      { return s.conn.Elapsed() }
-
-// DoTSession adapts an established DoT session to the unified API. The
-// underlying conn stays available for transport-specific inspection
-// (certificates, verification outcome).
-func DoTSession(conn *dot.Conn) Session { return dotSession{conn} }
-
-type dotSession struct{ conn *dot.Conn }
-
-func (s dotSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
-	name, qtype, err := Question(msg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.conn.QueryContext(ctx, name, qtype)
-	if err != nil {
-		return nil, err
-	}
-	return res.Msg, nil
-}
-
-func (s dotSession) Close() error                { return s.conn.Close() }
-func (s dotSession) SetupLatency() time.Duration { return s.conn.SetupLatency() }
-func (s dotSession) Elapsed() time.Duration      { return s.conn.Elapsed() }
-
-// DoHSession adapts an established DoH session to the unified API.
-func DoHSession(conn *doh.Conn) Session { return dohSession{conn} }
-
-type dohSession struct{ conn *doh.Conn }
-
-func (s dohSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
-	name, qtype, err := Question(msg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.conn.QueryContext(ctx, name, qtype)
-	if err != nil {
-		return nil, err
-	}
-	return res.Msg, nil
-}
-
-func (s dohSession) Close() error                { return s.conn.Close() }
-func (s dohSession) SetupLatency() time.Duration { return s.conn.SetupLatency() }
-func (s dohSession) Elapsed() time.Duration      { return s.conn.Elapsed() }
-
-// DoQSession adapts an established DoQ session to the unified API. The
-// underlying conn stays available for transport-specific inspection
+// NewSession adapts an established stream connection to the unified API.
+// The caller keeps the concrete conn for transport-specific inspection
 // (certificates, verification outcome, 0-RTT resumption).
-func DoQSession(conn *doq.Conn) Session { return doqSession{conn} }
+func NewSession(conn StreamConn) Session { return session{conn} }
 
-type doqSession struct{ conn *doq.Conn }
+type session struct{ StreamConn }
 
-func (s doqSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
+func (s session) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
 	name, qtype, err := Question(msg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.conn.QueryContext(ctx, name, qtype)
+	res, err := s.QueryContext(ctx, name, qtype)
 	if err != nil {
 		return nil, err
 	}
 	return res.Msg, nil
 }
-
-func (s doqSession) Close() error                { return s.conn.Close() }
-func (s doqSession) SetupLatency() time.Duration { return s.conn.SetupLatency() }
-func (s doqSession) Elapsed() time.Duration      { return s.conn.Elapsed() }
 
 // DNSCrypt adapts a dnscrypt client to the unified API. The client's
 // certificate must already be fetched (FetchCertContext); exchanges on an

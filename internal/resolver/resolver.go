@@ -14,9 +14,12 @@
 // advisory, and the returned message carries whatever ID the transport used.
 //
 // Stream sessions are dialed through one entry point, Dial, keyed by a Proto
-// value; with WithMaxInFlight the session pipelines (TCP/DoT, RFC 7766 §6.2.1)
-// or multiplexes streams (DoH over HTTP/2, DoQ over QUIC), and Exchange may
-// then be called from many goroutines at once.
+// value, and wrapped by one adapter, NewSession, over the method set every
+// transport's connection shares. With WithMaxInFlight the session pipelines
+// (TCP/DoT, RFC 7766 §6.2.1) or multiplexes streams (DoH over HTTP/2, DoQ
+// over QUIC), and Exchange may then be called from many goroutines at once.
+// TCP, DoT and DoH share one in-flight engine, dnsclient.Mux, with a codec
+// per framing; DoQ keeps its synchronous QUIC flights.
 package resolver
 
 import (
@@ -236,7 +239,7 @@ func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error
 		if n := c.opts.MaxInFlight; n > 0 {
 			conn.Pipeline(n)
 		}
-		return TCPSession(conn), nil
+		return NewSession(conn), nil
 	case ProtoDoT:
 		dc := dot.NewClient(c.World, c.From, c.Roots, c.opts.Profile)
 		dc.Timeout = c.opts.Timeout
@@ -248,7 +251,7 @@ func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error
 		if n := c.opts.MaxInFlight; n > 0 {
 			conn.Pipeline(n)
 		}
-		return DoTSession(conn), nil
+		return NewSession(conn), nil
 	case ProtoDoH:
 		dc := doh.NewClient(c.World, c.From, c.Roots)
 		dc.Timeout = c.opts.Timeout
@@ -260,7 +263,7 @@ func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error
 		if err != nil {
 			return nil, err
 		}
-		return DoHSession(conn), nil
+		return NewSession(conn), nil
 	case ProtoDoQ:
 		qc := doq.NewClient(c.World, c.From, c.Roots, c.opts.Profile)
 		qc.MaxInFlight = c.opts.MaxInFlight
@@ -269,32 +272,10 @@ func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error
 		if err != nil {
 			return nil, err
 		}
-		return DoQSession(conn), nil
+		return NewSession(conn), nil
 	default:
 		return nil, fmt.Errorf("resolver: unknown protocol %v", p)
 	}
-}
-
-// DialTCP opens a clear-text DNS-over-TCP session to server:53.
-//
-// Deprecated: use Dial(ctx, ProtoTCP, Endpoint{Addr: server}).
-func (c *Client) DialTCP(ctx context.Context, server netip.Addr) (Session, error) {
-	return c.Dial(ctx, ProtoTCP, Endpoint{Addr: server})
-}
-
-// DialDoT opens a DoT session to server:853 under the configured profile
-// and padding policy.
-//
-// Deprecated: use Dial(ctx, ProtoDoT, Endpoint{Addr: server}).
-func (c *Client) DialDoT(ctx context.Context, server netip.Addr) (Session, error) {
-	return c.Dial(ctx, ProtoDoT, Endpoint{Addr: server})
-}
-
-// DialDoH opens a DoH session for template t at the pinned address.
-//
-// Deprecated: use Dial(ctx, ProtoDoH, Endpoint{Addr: addr, Template: t}).
-func (c *Client) DialDoH(ctx context.Context, t doh.Template, addr netip.Addr) (Session, error) {
-	return c.Dial(ctx, ProtoDoH, Endpoint{Addr: addr, Template: t})
 }
 
 // TCP returns a reuse-aware Transport for clear-text DNS over TCP.

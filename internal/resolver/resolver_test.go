@@ -109,7 +109,7 @@ func TestSessionAccountsSetupAndElapsed(t *testing.T) {
 	f := newFixture(t)
 	c := f.client(t, WithProfile(dot.Strict))
 	ctx := context.Background()
-	sess, err := c.DialDoT(ctx, serverIP)
+	sess, err := c.Dial(ctx, ProtoDoT, Endpoint{Addr: serverIP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestStrictProfileOptionRejectsUntrustedServer(t *testing.T) {
 	}
 	ctx := context.Background()
 	strict := New(f.world, clientIP, certs.Pool(otherCA), WithProfile(dot.Strict))
-	if _, err := strict.DialDoT(ctx, serverIP); !errors.Is(err, dot.ErrAuthFailed) {
+	if _, err := strict.Dial(ctx, ProtoDoT, Endpoint{Addr: serverIP}); !errors.Is(err, dot.ErrAuthFailed) {
 		t.Errorf("strict dial err = %v, want ErrAuthFailed", err)
 	}
 	opp := New(f.world, clientIP, certs.Pool(otherCA), WithProfile(dot.Opportunistic))
@@ -176,7 +176,7 @@ func TestPaddingOptionTriggersServerPadding(t *testing.T) {
 	// padding option, so the response reveals whether WithPadding reached
 	// the wire.
 	run := func(pad bool) bool {
-		sess, err := f.client(t, WithPadding(pad)).DialDoT(ctx, serverIP)
+		sess, err := f.client(t, WithPadding(pad)).Dial(ctx, ProtoDoT, Endpoint{Addr: serverIP})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,10 +3,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
-
-	"dnsencryption.info/doe/internal/obs"
 )
 
 // Reducer bundles the accumulator callbacks of one streaming fold. The pool
@@ -68,63 +64,25 @@ func MapReduceCtx[A any](ctx context.Context, workers, n int, r Reducer[A]) (A, 
 	if n <= 0 {
 		return r.New(), ctx.Err()
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		meters := newPoolMeters(ctx, 1, n)
-		sctx, wm := meters.workerCtx(ctx, 0, false)
-		acc := r.New()
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return acc, err
-			}
-			meters.taskStart(wm)
-			r.Fold(sctx, acc, i)
-			meters.taskEnd()
-		}
-		return acc, ctx.Err()
-	}
-	meters := newPoolMeters(ctx, workers, n)
-	meters.shards = make([]*obs.Registry, workers)
+	workers = clampWorkers(workers, n)
 	accs := make([]A, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wctx, wm := meters.workerCtx(ctx, w, true)
-			accs[w] = r.New()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				meters.taskStart(wm)
-				r.Fold(wctx, accs[w], i)
-				meters.taskEnd()
-			}
-		}(w)
+	for w := range accs {
+		accs[w] = r.New()
 	}
-	wg.Wait()
-	var errs []error
-	if err := meters.fold(); err != nil {
-		errs = append(errs, err)
+	err := pool(ctx, workers, n, func(ctx context.Context, w, i int) { r.Fold(ctx, accs[w], i) })
+	if workers == 1 {
+		// One shard is the whole fold: no destination to merge into.
+		return accs[0], ctx.Err()
 	}
+	errs := []error{err}
 	// Merge worker accumulators in worker order — the same join-point
-	// convention as the shard-registry fold above.
+	// convention as the shard-registry fold.
 	dst := r.New()
-	for w := 0; w < workers; w++ {
-		if err := r.Merge(dst, accs[w]); err != nil {
-			errs = append(errs, err)
-		}
+	for _, acc := range accs {
+		errs = append(errs, r.Merge(dst, acc))
 	}
-	if len(errs) > 0 {
-		return dst, errors.Join(append([]error{ctx.Err()}, errs...)...)
+	if err := errors.Join(errs...); err != nil {
+		return dst, errors.Join(ctx.Err(), err)
 	}
 	return dst, ctx.Err()
 }

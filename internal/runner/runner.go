@@ -45,36 +45,10 @@ import (
 // loop on the calling goroutine; workers is clamped to n so short workloads
 // never spawn idle goroutines. Map returns only after every worker has
 // exited.
+//
+//doelint:ctxroot -- context-free convenience entry point; a background context carries no recorder, so the pool stays uninstrumented
 func Map[T any](workers, n int, fn func(i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	out := make([]T, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	out, _ := MapCtx(context.Background(), workers, n, func(_ context.Context, i int) T { return fn(i) })
 	return out
 }
 
@@ -197,24 +171,37 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Cont
 	if n <= 0 {
 		return nil, ctx.Err()
 	}
-	if workers > n {
-		workers = n
-	}
 	out := make([]T, n)
-	if workers <= 1 {
-		meters := newPoolMeters(ctx, 1, n)
+	if err := pool(ctx, clampWorkers(workers, n), n, func(ctx context.Context, _, i int) { out[i] = fn(ctx, i) }); err != nil {
+		return out, errors.Join(ctx.Err(), err)
+	}
+	return out, ctx.Err()
+}
+
+// clampWorkers bounds the worker count to [1, n].
+func clampWorkers(workers, n int) int {
+	return max(1, min(workers, n))
+}
+
+// pool is the one worker-pool loop behind MapCtx and MapReduceCtx: it runs
+// task(ctx, w, i) for every i in [0, n) on `workers` goroutines (already
+// clamped to [1, n]; 1 runs serially on the calling goroutine), where w is
+// the worker running the task. Indices are handed out through a single
+// atomic counter; once ctx is done workers stop taking new ones. The pool
+// joins every worker, then folds the worker shard registries into the
+// study registry — the positional merge point — and returns the fold's
+// error. Callers report ctx.Err() themselves.
+func pool(ctx context.Context, workers, n int, task func(ctx context.Context, w, i int)) error {
+	meters := newPoolMeters(ctx, workers, n)
+	if workers == 1 {
 		sctx, wm := meters.workerCtx(ctx, 0, false)
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
+		for i := 0; i < n && ctx.Err() == nil; i++ {
 			meters.taskStart(wm)
-			out[i] = fn(sctx, i)
+			task(sctx, 0, i)
 			meters.taskEnd()
 		}
-		return out, ctx.Err()
+		return nil
 	}
-	meters := newPoolMeters(ctx, workers, n)
 	meters.shards = make([]*obs.Registry, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -223,25 +210,17 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Cont
 		go func(w int) {
 			defer wg.Done()
 			wctx, wm := meters.workerCtx(ctx, w, true)
-			for {
-				if ctx.Err() != nil {
-					return
-				}
+			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				meters.taskStart(wm)
-				out[i] = fn(wctx, i)
+				task(wctx, w, i)
 				meters.taskEnd()
 			}
 		}(w)
 	}
 	wg.Wait()
-	// Fold worker shards into the study registry only after every worker
-	// has exited — the positional merge point, same discipline as out.
-	if err := meters.fold(); err != nil {
-		return out, errors.Join(ctx.Err(), err)
-	}
-	return out, ctx.Err()
+	return meters.fold()
 }

@@ -233,7 +233,7 @@ func (p *Platform) timeDNSQueries(ctx context.Context, node proxy.ExitNode, targ
 	if err != nil {
 		return nil, err
 	}
-	sess := resolver.TCPSession(dnsclient.TCPFromConn(tunnel))
+	sess := resolver.NewSession(dnsclient.TCPFromConn(tunnel))
 	defer sess.Close()
 	p.observeSetup(ctx, ProtoDNS, sess)
 	return p.timeQueries(ctx, sess, node.ID+"-perf-dns", n)
@@ -249,7 +249,7 @@ func (p *Platform) timeDoTQueries(ctx context.Context, node proxy.ExitNode, targ
 	if err != nil {
 		return nil, err
 	}
-	sess := resolver.DoTSession(conn)
+	sess := resolver.NewSession(conn)
 	defer sess.Close()
 	p.observeSetup(ctx, ProtoDoT, sess)
 	return p.timeQueries(ctx, sess, node.ID+"-perf-dot", n)
@@ -265,7 +265,7 @@ func (p *Platform) timeDoHQueries(ctx context.Context, node proxy.ExitNode, tmpl
 	if err != nil {
 		return nil, err
 	}
-	sess := resolver.DoHSession(conn)
+	sess := resolver.NewSession(conn)
 	defer sess.Close()
 	p.observeSetup(ctx, ProtoDoH, sess)
 	return p.timeQueries(ctx, sess, node.ID+"-perf-doh", n)
@@ -284,7 +284,7 @@ func (p *Platform) timeDoQQueries(ctx context.Context, node proxy.ExitNode, targ
 	if err != nil {
 		return nil, err
 	}
-	sess := resolver.DoQSession(conn)
+	sess := resolver.NewSession(conn)
 	defer sess.Close()
 	p.observeSetup(ctx, ProtoDoQ, sess)
 	return p.timeQueries(ctx, sess, node.ID+"-perf-doq", n)
@@ -336,7 +336,7 @@ func (p *Platform) timeDoTMuxQueries(ctx context.Context, node proxy.ExitNode, t
 		return nil, err
 	}
 	defer conn.Close()
-	p.observeSetup(ctx, ProtoDoT, resolver.DoTSession(conn))
+	p.observeSetup(ctx, ProtoDoT, resolver.NewSession(conn))
 	m := conn.Pipeline(p.MuxInFlight)
 	return p.timeBatchQueries(ctx, conn.Elapsed, func(ctx context.Context, names []string) error {
 		_, err := m.Batch(ctx, names, dnswire.TypeA, nil)
@@ -357,9 +357,10 @@ func (p *Platform) timeDoHMuxQueries(ctx context.Context, node proxy.ExitNode, t
 		return nil, err
 	}
 	defer conn.Close()
-	p.observeSetup(ctx, ProtoDoH, resolver.DoHSession(conn))
+	p.observeSetup(ctx, ProtoDoH, resolver.NewSession(conn))
+	m := conn.Mux()
 	return p.timeBatchQueries(ctx, conn.Elapsed, func(ctx context.Context, names []string) error {
-		_, err := conn.BatchContext(ctx, names, dnswire.TypeA, nil)
+		_, err := m.Batch(ctx, names, dnswire.TypeA, nil)
 		return err
 	}, node.ID+"-perf-doh-mux", n)
 }
@@ -380,7 +381,7 @@ func (p *Platform) timeDoQMuxQueries(ctx context.Context, node proxy.ExitNode, t
 		return nil, err
 	}
 	defer conn.Close()
-	p.observeSetup(ctx, ProtoDoQ, resolver.DoQSession(conn))
+	p.observeSetup(ctx, ProtoDoQ, resolver.NewSession(conn))
 	return p.timeBatchQueries(ctx, conn.Elapsed, func(ctx context.Context, names []string) error {
 		_, err := conn.BatchContext(ctx, names, dnswire.TypeA, nil)
 		return err

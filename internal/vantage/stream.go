@@ -13,14 +13,13 @@ import (
 	"dnsencryption.info/doe/internal/runner"
 )
 
-// This file is the streaming half of the campaign API (DESIGN.md §15).
-// Campaign/CampaignContext materialize every node's results and hand the
-// caller a slice — fine at study scale, O(population) at a million
-// vantages. CampaignStream folds each lookup into a mergeable accumulator
-// (CampaignStats) through runner.MapReduceCtx instead: per-node result
-// slices never exist, node populations come from a NodeSource that may
-// synthesize nodes on demand, and world state for generated nodes lives
-// only while a worker holds the node.
+// This file is the campaign API (DESIGN.md §15). CampaignStream folds each
+// lookup into a mergeable accumulator (CampaignStats) through
+// runner.MapReduceCtx: per-node result slices never exist, node populations
+// come from a NodeSource that may synthesize nodes on demand, and world
+// state for generated nodes lives only while a worker holds the node.
+// Callers wanting one node's raw results use TestReachabilityContext or
+// VisitReachability.
 
 // NodeSource abstracts the vantage population a streaming campaign sweeps.
 // Acquire materializes node i (for generator-fed sources: starts its SOCKS
@@ -114,10 +113,10 @@ type CampaignOpts struct {
 // byte-identical across worker counts.
 type CampaignStats struct {
 	// Lookups counts every classification produced, including dropped
-	// ones (it equals len(results) of the materialized API).
+	// ones.
 	Lookups int
 	// Dropped counts measurements lost to platform disruption; they are
-	// excluded from every tally below, matching TallyResults.
+	// excluded from every tally below.
 	Dropped int
 	// Nodes counts vantages that passed the uptime screen and ran;
 	// Skipped counts those the screen discarded.
@@ -127,7 +126,8 @@ type CampaignStats struct {
 	Cells map[CellKey]Tally
 	// Errors is the failure taxonomy: error class → count.
 	Errors map[string]int
-	// Retry aggregates attempt-level outcomes (RetryTally's shape).
+	// Retry aggregates attempt-level outcomes: retry-recovered lookups
+	// vs. hard failures that exhausted the budget.
 	Retry resolver.RetryStats
 	// Setup holds per-protocol session-setup latency sketches.
 	Setup map[Proto]*obs.Sketch
@@ -263,8 +263,7 @@ func (s *CampaignStats) finalize() {
 	}
 }
 
-// Intercepted returns the TLS-intercepted sessions in node order — the
-// streaming equivalent of InterceptedResults over a materialized campaign.
+// Intercepted returns the TLS-intercepted sessions in node order.
 func (s *CampaignStats) Intercepted() []Result {
 	out := make([]Result, len(s.intercepted))
 	for i, ref := range s.intercepted {
@@ -279,8 +278,8 @@ func (s *CampaignStats) FailedRefs(k FailKey) []NodeRef {
 	return s.failed[k]
 }
 
-// ByResolverProto sums the country cells into the Table 4 shape — the
-// streaming equivalent of TallyResults.
+// ByResolverProto sums the country cells into the Table 4 shape: per
+// (resolver, proto) outcome tallies.
 func (s *CampaignStats) ByResolverProto() map[string]map[Proto]Tally {
 	out := map[string]map[Proto]Tally{}
 	for k, t := range s.Cells {
@@ -348,9 +347,9 @@ func (p *Platform) VisitReachability(ctx context.Context, node proxy.ExitNode, t
 }
 
 // CampaignStream runs the reachability campaign over the network's
-// materialized pool as a streaming fold: same spans, same telemetry, same
-// node order as CampaignContext, but the result is a CampaignStats
-// accumulator instead of an O(population) result slice.
+// materialized pool as a streaming fold, bounded by workers. Each node runs
+// under a node:<id> span keyed by its dispatch index, so spans, telemetry
+// and the accumulator are identical for any worker count.
 func (p *Platform) CampaignStream(ctx context.Context, targets []Target, workers int, opts CampaignOpts) (*CampaignStats, error) {
 	return p.CampaignStreamSource(ctx, ListSource(p.Network.Nodes()), targets, workers, opts)
 }

@@ -24,7 +24,6 @@ import (
 	"dnsencryption.info/doe/internal/obs"
 	"dnsencryption.info/doe/internal/proxy"
 	"dnsencryption.info/doe/internal/resolver"
-	"dnsencryption.info/doe/internal/runner"
 )
 
 // Proto identifies the tested transport.
@@ -303,7 +302,7 @@ func (p *Platform) testDNS(ctx context.Context, node proxy.ExitNode, tgt Target)
 		r.Dropped = proxy.IsPlatformDisruption(err)
 		return r
 	}
-	sess := resolver.TCPSession(dnsclient.TCPFromConn(tunnel))
+	sess := resolver.NewSession(dnsclient.TCPFromConn(tunnel))
 	defer sess.Close()
 	r.Setup = p.observeSetup(ctx, ProtoDNS, sess)
 	p.exchange(ctx, sess, node.ID+"-"+tgt.Name+"-dns", &r)
@@ -326,7 +325,7 @@ func (p *Platform) testDoT(ctx context.Context, node proxy.ExitNode, tgt Target)
 		r.Outcome, r.Err = Failed, err.Error()
 		return r
 	}
-	sess := resolver.DoTSession(conn)
+	sess := resolver.NewSession(conn)
 	defer sess.Close()
 	r.Setup = p.observeSetup(ctx, ProtoDoT, sess)
 	if chain := conn.PeerCertificates(); len(chain) > 0 {
@@ -357,7 +356,7 @@ func (p *Platform) testDoH(ctx context.Context, node proxy.ExitNode, tgt Target)
 		r.Outcome, r.Err = Failed, err.Error()
 		return r
 	}
-	sess := resolver.DoHSession(conn)
+	sess := resolver.NewSession(conn)
 	defer sess.Close()
 	r.Setup = p.observeSetup(ctx, ProtoDoH, sess)
 	p.exchange(ctx, sess, node.ID+"-"+tgt.Name+"-doh", &r)
@@ -383,7 +382,7 @@ func (p *Platform) testDoQ(ctx context.Context, node proxy.ExitNode, tgt Target)
 		r.Outcome, r.Err = Failed, err.Error()
 		return r
 	}
-	sess := resolver.DoQSession(conn)
+	sess := resolver.NewSession(conn)
 	defer sess.Close()
 	r.Setup = p.observeSetup(ctx, ProtoDoQ, sess)
 	if chain := conn.PeerCertificates(); len(chain) > 0 {
@@ -394,43 +393,6 @@ func (p *Platform) testDoQ(ctx context.Context, node proxy.ExitNode, tgt Target)
 		r.Intercepted = true
 	}
 	return r
-}
-
-// Campaign runs reachability tests from every usable node, bounded by
-// workers, and returns all results grouped by node in Nodes() order — the
-// same concatenation a serial campaign produces, for any worker count.
-// Node selection happens up front (a node's own tests are the only thing
-// that consumes its session budget, so filtering before dispatch sees the
-// same remaining uptimes a serial sweep would).
-func (p *Platform) Campaign(targets []Target, workers int) []Result {
-	out, _ := p.CampaignContext(context.Background(), targets, workers)
-	return out
-}
-
-// CampaignContext is Campaign with cancellation: once ctx is done, workers
-// stop taking new nodes and in-flight lookups fail fast. The partial result
-// keeps per-node grouping in Nodes() order; the error is ctx.Err() when the
-// campaign was cut short.
-func (p *Platform) CampaignContext(ctx context.Context, targets []Target, workers int) ([]Result, error) {
-	var usable []proxy.ExitNode
-	for _, node := range p.Network.Nodes() {
-		if p.UsableNode(node) {
-			usable = append(usable, node)
-		}
-	}
-	perNode, err := runner.MapCtx(obs.WithPool(ctx, "campaign"), workers, len(usable),
-		func(ctx context.Context, i int) []Result {
-			// Key(i) pins sibling order to the node's dispatch index, so the
-			// trace is identical no matter which worker ran the node.
-			ctx, sp := obs.Start(ctx, "node:"+usable[i].ID, obs.Key(i))
-			sp.SetAttr("country", usable[i].Country)
-			return p.TestReachabilityContext(ctx, usable[i], targets)
-		})
-	var out []Result
-	for _, res := range perNode {
-		out = append(out, res...)
-	}
-	return out, err
 }
 
 // Tally aggregates results into Table 4 cells: per (resolver, proto),
@@ -449,79 +411,4 @@ func (t Tally) Rates() (correct, incorrect, failed float64) {
 		return 0, 0, 0
 	}
 	return float64(t.Correct) / n, float64(t.Incorrect) / n, float64(t.Failed) / n
-}
-
-// TallyResults groups results by (resolver, proto).
-func TallyResults(results []Result) map[string]map[Proto]Tally {
-	out := map[string]map[Proto]Tally{}
-	for _, r := range results {
-		if r.Dropped {
-			continue
-		}
-		byProto, ok := out[r.Resolver]
-		if !ok {
-			byProto = map[Proto]Tally{}
-			out[r.Resolver] = byProto
-		}
-		t := byProto[r.Proto]
-		switch r.Outcome {
-		case Correct:
-			t.Correct++
-		case Incorrect:
-			t.Incorrect++
-		default:
-			t.Failed++
-		}
-		byProto[r.Proto] = t
-	}
-	return out
-}
-
-// RetryTally aggregates attempt-level outcomes of a campaign into the
-// resolver's RetryStats shape: retry-recovered lookups vs. hard failures
-// that exhausted the budget. Dropped results are excluded, matching every
-// other tally.
-func RetryTally(results []Result) resolver.RetryStats {
-	var s resolver.RetryStats
-	for _, r := range results {
-		if r.Dropped {
-			continue
-		}
-		a := r.Attempts
-		if a < 1 {
-			a = 1
-		}
-		s.Attempts += a
-		s.Retries += a - 1
-		if r.Recovered {
-			s.Recovered++
-		}
-		if r.Outcome == Failed {
-			s.HardFailures++
-		}
-	}
-	return s
-}
-
-// InterceptedResults filters the sessions flagged as TLS-intercepted.
-func InterceptedResults(results []Result) []Result {
-	var out []Result
-	for _, r := range results {
-		if r.Intercepted {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// FailedNodes returns the IDs of nodes whose lookup of (resolver, proto)
-// failed — the population fed into the Table 5 port probes.
-func FailedNodes(results []Result, resolver string, proto Proto) []string {
-	var out []string
-	for _, r := range results {
-		if r.Resolver == resolver && r.Proto == proto && r.Outcome == Failed && !r.Dropped {
-			out = append(out, r.NodeID)
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package vantage
 
 import (
+	"context"
 	"net/netip"
 	"strings"
 	"testing"
@@ -197,7 +198,7 @@ func TestMITMNodeInterceptsDoTBreaksDoH(t *testing.T) {
 	if got[ProtoDoT] != Correct {
 		t.Errorf("dot = %v, want correct", got[ProtoDoT])
 	}
-	intercepted := InterceptedResults(results)
+	intercepted := statsOf(results).Intercepted()
 	if len(intercepted) != 1 || intercepted[0].Proto != ProtoDoT {
 		t.Fatalf("intercepted = %+v", intercepted)
 	}
@@ -218,8 +219,8 @@ func TestConflictNodeForensics(t *testing.T) {
 	if got[ProtoDNS] != Failed || got[ProtoDoT] != Failed {
 		t.Errorf("dns/dot = %v/%v, want failed (address conflict)", got[ProtoDNS], got[ProtoDoT])
 	}
-	failed := FailedNodes(results, "resolverco", ProtoDoT)
-	if len(failed) != 1 || failed[0] != "conflict" {
+	failed := statsOf(results, FailKey{"resolverco", ProtoDoT}).FailedRefs(FailKey{"resolverco", ProtoDoT})
+	if len(failed) != 1 || failed[0].ID != "conflict" {
 		t.Errorf("failed nodes = %v", failed)
 	}
 	probe := f.platform.ProbePorts(node, resolverIP, Table5Ports)
@@ -240,8 +241,11 @@ func TestConflictNodeForensics(t *testing.T) {
 
 func TestCampaignAndTally(t *testing.T) {
 	f := newFixture(t)
-	results := f.platform.Campaign([]Target{f.target}, 4)
-	tally := TallyResults(results)["resolverco"]
+	stats, err := f.platform.CampaignStream(context.Background(), []Target{f.target}, 4, CampaignOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tally := stats.ByResolverProto()["resolverco"]
 	// 5 nodes: DNS fails on filtered+conflict; DoT fails on conflict;
 	// DoH fails on censored+mitm+conflict.
 	if tally[ProtoDNS].Failed != 2 || tally[ProtoDNS].Correct != 3 {
@@ -368,20 +372,18 @@ func TestPlatformDisruptionDropped(t *testing.T) {
 	if c, err := f.platform.Network.Dial(f.platform.From, "dying2", resolverIP, 53); err == nil {
 		c.Close()
 	}
-	// ...so the reachability test hits platform disruption on every leg.
-	results := f.platform.TestReachability(node, []Target{f.target})
-	dropped := 0
-	for _, r := range results {
-		if r.Dropped {
-			dropped++
-		}
+	// ...so the campaign hits platform disruption on every leg.
+	dot := FailKey{"resolverco", ProtoDoT}
+	stats, err := f.platform.CampaignStreamSource(context.Background(), ListSource([]proxy.ExitNode{node}),
+		[]Target{f.target}, 1, CampaignOpts{TrackFailed: []FailKey{dot}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if dropped == 0 {
-		t.Fatalf("no dropped results: %+v", results)
+	if stats.Dropped == 0 {
+		t.Fatalf("no dropped results: %+v", stats)
 	}
 	// Dropped measurements must not contaminate Table 4.
-	tally := TallyResults(results)
-	for resolver, byProto := range tally {
+	for resolver, byProto := range stats.ByResolverProto() {
 		for proto, tl := range byProto {
 			if tl.Failed > 0 {
 				t.Errorf("%s/%s counts %d platform failures as protocol failures", resolver, proto, tl.Failed)
@@ -389,9 +391,20 @@ func TestPlatformDisruptionDropped(t *testing.T) {
 		}
 	}
 	// Nor the Table 5 candidate list.
-	if failed := FailedNodes(results, "resolverco", ProtoDoT); len(failed) != 0 {
+	if failed := stats.FailedRefs(dot); len(failed) != 0 {
 		t.Errorf("dropped node listed as failed: %v", failed)
 	}
+}
+
+// statsOf folds one node's results into a campaign accumulator, tracking
+// the failing nodes of the given keys.
+func statsOf(results []Result, track ...FailKey) *CampaignStats {
+	s := NewCampaignStats(CampaignOpts{TrackFailed: track})
+	for i, r := range results {
+		s.Add(0, i, r)
+	}
+	s.finalize()
+	return s
 }
 
 func TestIdentifyDeviceVariants(t *testing.T) {
